@@ -16,10 +16,24 @@
 //    pruned to the Pareto frontier: only the maximal stripe end per distinct
 //    processor count matters, and the walk jumps between strict-decrease
 //    points of f, so each state inspects few candidates.
+//    Each maximal end E(s, c) — the largest end of a stripe from row s that
+//    fits in c column parts — is searched between two bounds the DP already
+//    holds.  Above: E(s, c) <= E(s', c) for every later state s' > s, since
+//    dropping a row never adds a part, so the last E found for c caps the
+//    search.  Below: E(s, c) >= the row that forced c parts (next_drop of
+//    the previous candidate, or s + 1).  The cap is probed first and the
+//    search gallops down from it; on PIC-MAG the answer is the cap or the
+//    row below it in ~97% of searches.
+//
+// On a CSR substrate within 2^23 Γ cells every probe reads a Γ ladder: all
+// dense Γ rows, built once per solve and orientation and shared read-only
+// by all of its probes and bisection lanes.  At most one 64 MiB ladder per
+// orientation is alive, and it is freed with its solve.
 //
 // The paper's original dynamic programs are implemented in jag_opt_dp.cpp
 // and cross-checked against these engines in the test suite.
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <span>
@@ -140,10 +154,10 @@ std::vector<oned::Cuts> solve_stripes(const LoadSubstrate& ps,
   return col_cuts;
 }
 
-/// Oracle over two rows of the lazily built Γ ladder: the stripe [a, b)
-/// prefix is the pointwise difference of Γ rows b and a, so an interval load
-/// is four array reads — the same flat-probe shape StripeColsOracle has on
-/// the dense substrate.
+/// Oracle over two rows of the Γ ladder: the stripe [a, b) prefix is the
+/// pointwise difference of Γ rows b and a, so an interval load is four array
+/// reads — the same flat-probe shape StripeColsOracle has on the dense
+/// substrate.
 class GammaLadderOracle {
  public:
   GammaLadderOracle(const std::int64_t* lo, const std::int64_t* hi, int cols)
@@ -165,10 +179,10 @@ class GammaLadderOracle {
 };
 
 /// Largest (rows+1) x (cols+1) cell count the Γ ladder materializes:
-/// 2^23 cells is a 64 MiB ladder per concurrent search.  At the bench-gate
-/// scale (n=1024, nnz=32768, m=32) the parametric search issues ~360M
-/// interval probes against 32k nonzeros — every stripe of the instance is
-/// probed many times over — so the one-time O(rows x cols) ladder build is
+/// 2^23 cells is a 64 MiB ladder, one per solve and orientation.  At the
+/// bench-gate scale (n=1024, nnz=32768, m=32) the parametric search issues
+/// ~360M interval probes against 32k nonzeros — every stripe of the instance
+/// is probed many times over — so the one-time O(rows x cols) ladder build is
 /// paid back thousands of times and the solve runs at dense-probe speed.
 constexpr std::int64_t kGammaLadderMaxCells = std::int64_t{1} << 23;
 
@@ -181,77 +195,41 @@ constexpr std::int64_t kGammaLadderMaxCells = std::int64_t{1} << 23;
 /// each walking ~13 fringe rows).
 constexpr int kScatterCacheMaxCols = 1 << 16;
 
-/// Probe-side acceleration state for the CSR feasibility probes, owned by
-/// one search (one MWayProbe, or one pq_feasible sweep) and threaded through
-/// stripe_parts — search-local ownership keeps the lanes of a parallel
-/// bisection independent and leaves nothing alive across solves.  The mode
-/// is a pure function of the instance shape, so probe counts and verdicts
-/// are identical across thread widths and across the TILED_GAMMA builds:
-///
-///  * Γ ladder (cells <= kGammaLadderMaxCells): dense Γ rows materialized
-///    bottom-up on demand — row e is row e-1 plus one merged scan of CSR row
-///    e-1 — after which every probe is four array loads.
-///  * scatter cache (cols <= kScatterCacheMaxCols): the stripe's raw
-///    per-column counts slide to [a, b) by signed row scatters
-///    (SparseLoadCSR::scatter_rows); one O(cols) scan per call.
-///  * tiled-Γ oracle (wider): SparseStripeOracle per-probe interval queries
-///    at fringe-bounded cost — the only mode whose footprint is
-///    O(tile grid), which is what web-scale instances require.
-///
-/// All three compute the same int64 entry sums, just re-associated, so the
-/// returned part counts — and with them every verdict of the parametric
-/// search — are bit-identical across modes.
-class StripeProbeCache {
+/// Every dense Γ row of a CSR substrate, built eagerly by the solve that
+/// owns it — one per solve and orientation — and then read, never written,
+/// by all of that solve's feasibility probes, including the concurrent lanes
+/// of a parallel bisection.  Row e is row e-1 plus one merged scan of CSR
+/// row e-1, so the build touches each nonempty row once.  Empty (no rows)
+/// on a dense substrate and on CSR instances past kGammaLadderMaxCells,
+/// where the probes fall back to the scatter cache or the tiled oracle.
+/// Freed with its solve: nothing outlives the engine call.
+class GammaLadder {
  public:
-  /// Minimum number of column intervals of load <= B covering stripe
-  /// [a, b), or nullopt when impossible or when the count exceeds `cap`.
-  std::optional<int> parts(const SparseLoadCSR& csr, int a, int b,
-                           std::int64_t B, int cap) {
+  GammaLadder(const LoadSubstrate& ls, const RunContext* ctx) {
+    if (ls.is_dense()) return;
+    const SparseLoadCSR& csr = *ls.sparse();
+    const int n1 = csr.rows();
     const int n2 = csr.cols();
-    const std::int64_t cells =
-        (static_cast<std::int64_t>(csr.rows()) + 1) *
-        (static_cast<std::int64_t>(n2) + 1);
-    if (cells <= kGammaLadderMaxCells) {
-      ensure_ladder(csr, b);
-      const GammaLadderOracle o(ladder_row(a), ladder_row(b), n2);
-      return oned::min_parts_within(o, 0, n2, B, cap);
-    }
-    if (n2 <= kScatterCacheMaxCols) {
-      const oned::PrefixOracle o(scatter_prefix(csr, a, b));
-      return oned::min_parts_within(o, 0, n2, B, cap);
-    }
-    const SparseStripeOracle o(csr, a, b);
-    return oned::min_parts_within(o, 0, n2, B, cap);
-  }
-
- private:
-  [[nodiscard]] const std::int64_t* ladder_row(int e) const {
-    return ladder_.data() + static_cast<std::size_t>(e) * stride_;
-  }
-
-  /// Extends the ladder so rows [0, e] are materialized.  Each Γ row is
-  /// built exactly once per search: next[j+1] = prev[j+1] + (sum of row
-  /// built_'s entries in columns <= j), a single merge over the
-  /// column-sorted CSR row.
-  void ensure_ladder(const SparseLoadCSR& csr, int e) {
-    const int n2 = csr.cols();
-    if (csr_ != &csr) {
-      csr_ = &csr;
-      stride_ = static_cast<std::size_t>(n2) + 1;
-      ladder_.assign(static_cast<std::size_t>(csr.rows() + 1) * stride_, 0);
-      built_ = 0;  // row 0 of Γ is identically zero
-      RECTPART_COUNT(kProjectionsBuilt, 1);
-    }
+    const std::int64_t cells = (static_cast<std::int64_t>(n1) + 1) *
+                               (static_cast<std::int64_t>(n2) + 1);
+    if (cells > kGammaLadderMaxCells) return;
+    stride_ = static_cast<std::size_t>(n2) + 1;
+    cells_ = std::make_unique_for_overwrite<std::int64_t[]>(
+        static_cast<std::size_t>(cells));
+    RECTPART_COUNT(kProjectionsBuilt, 1);
+    std::fill_n(cells_.get(), stride_, 0);  // row 0 of Γ is identically zero
     const auto& rs = csr.row_start();
     const auto& ci = csr.col_index();
     const auto& vp = csr.value_prefix();
     std::int64_t rows_touched = 0;
-    for (; built_ < e; ++built_) {
-      const std::int64_t* prev = ladder_row(built_);
-      std::int64_t* next = ladder_.data() +
-                           (static_cast<std::size_t>(built_) + 1) * stride_;
-      std::int64_t k = rs[static_cast<std::size_t>(built_)];
-      const std::int64_t k1 = rs[static_cast<std::size_t>(built_) + 1];
+    for (int x = 0; x < n1; ++x) {
+      // Same 64-row poll cadence as the suffix DP's states.
+      if ((x & 63) == 0) poll_deadline(ctx, "jagged Gamma-ladder build");
+      const std::int64_t* prev = row(x);
+      std::int64_t* next = cells_.get() + (static_cast<std::size_t>(x) + 1) *
+                                              stride_;
+      std::int64_t k = rs[static_cast<std::size_t>(x)];
+      const std::int64_t k1 = rs[static_cast<std::size_t>(x) + 1];
       if (k == k1) {
         std::copy(prev, prev + stride_, next);
         continue;
@@ -272,6 +250,58 @@ class StripeProbeCache {
                    static_cast<std::uint64_t>(rows_touched));
   }
 
+  [[nodiscard]] bool empty() const { return cells_ == nullptr; }
+
+  [[nodiscard]] const std::int64_t* row(int e) const {
+    return cells_.get() + static_cast<std::size_t>(e) * stride_;
+  }
+
+ private:
+  std::unique_ptr<std::int64_t[]> cells_;
+  std::size_t stride_ = 0;
+};
+
+/// Probe-side acceleration for the CSR feasibility probes, owned by one
+/// search (one MWayProbe, or one pq_feasible sweep) and threaded through
+/// stripe_parts.  The mode is a pure function of the instance shape, so
+/// probe counts and verdicts are identical across thread widths and across
+/// the TILED_GAMMA builds:
+///
+///  * Γ ladder (cells <= kGammaLadderMaxCells): the solve's shared, read-only
+///    GammaLadder; every probe is four array loads.
+///  * scatter cache (cols <= kScatterCacheMaxCols): the stripe's raw
+///    per-column counts slide to [a, b) by signed row scatters
+///    (SparseLoadCSR::scatter_rows); one O(cols) scan per call.  Mutable,
+///    so it stays search-local, which keeps parallel lanes independent.
+///  * tiled-Γ oracle (wider): SparseStripeOracle per-probe interval queries
+///    at fringe-bounded cost — the only mode whose footprint is
+///    O(tile grid), which is what web-scale instances require.
+///
+/// All three compute the same int64 entry sums, just re-associated, so the
+/// returned part counts — and with them every verdict of the parametric
+/// search — are bit-identical across modes.
+class StripeProbeCache {
+ public:
+  explicit StripeProbeCache(const GammaLadder& ladder) : ladder_(&ladder) {}
+
+  /// Minimum number of column intervals of load <= B covering stripe
+  /// [a, b), or nullopt when impossible or when the count exceeds `cap`.
+  std::optional<int> parts(const SparseLoadCSR& csr, int a, int b,
+                           std::int64_t B, int cap) {
+    const int n2 = csr.cols();
+    if (!ladder_->empty()) {
+      const GammaLadderOracle o(ladder_->row(a), ladder_->row(b), n2);
+      return oned::min_parts_within(o, 0, n2, B, cap);
+    }
+    if (n2 <= kScatterCacheMaxCols) {
+      const oned::PrefixOracle o(scatter_prefix(csr, a, b));
+      return oned::min_parts_within(o, 0, n2, B, cap);
+    }
+    const SparseStripeOracle o(csr, a, b);
+    return oned::min_parts_within(o, 0, n2, B, cap);
+  }
+
+ private:
   /// Slides the scatter cache to stripe [a, b) and rescans its prefix.
   /// int64 arithmetic is exact, so the signed deltas are true inverses and
   /// the prefix after any reposition sequence is bit-identical to a cold
@@ -284,11 +314,15 @@ class StripeProbeCache {
       counts_.assign(static_cast<std::size_t>(n2), 0);
       csr.scatter_rows(a, b, +1, counts_);
       RECTPART_COUNT(kProjectionsBuilt, 1);
+      RECTPART_COUNT(kScatterRows, static_cast<std::uint64_t>(b - a));
     } else {
       if (a < lo_) csr.scatter_rows(a, lo_, +1, counts_);
       if (a > lo_) csr.scatter_rows(lo_, a, -1, counts_);
       if (b > hi_) csr.scatter_rows(hi_, b, +1, counts_);
       if (b < hi_) csr.scatter_rows(b, hi_, -1, counts_);
+      RECTPART_COUNT(kScatterRows,
+                     static_cast<std::uint64_t>(std::abs(a - lo_) +
+                                                std::abs(b - hi_)));
     }
     lo_ = a;
     hi_ = b;
@@ -298,15 +332,14 @@ class StripeProbeCache {
       p_[static_cast<std::size_t>(j) + 1] =
           p_[static_cast<std::size_t>(j)] +
           counts_[static_cast<std::size_t>(j)];
+    RECTPART_COUNT(kScatterColsRescanned, static_cast<std::uint64_t>(n2));
     return p_;
   }
 
+  const GammaLadder* ladder_;
+  // Scatter-cache state: counts_ holds rows [lo_, hi_) of csr_, p_ its last
+  // scan.
   const SparseLoadCSR* csr_ = nullptr;
-  // Γ-ladder state: rows [0, built_] of Γ are valid, row stride stride_.
-  std::vector<std::int64_t> ladder_;
-  std::size_t stride_ = 0;
-  int built_ = 0;
-  // Scatter-cache state: counts_ holds rows [lo_, hi_), p_ its last scan.
   std::vector<std::int64_t> counts_;
   std::vector<std::int64_t> p_;
   int lo_ = 0, hi_ = 0;
@@ -324,9 +357,25 @@ std::optional<int> stripe_parts(const LoadSubstrate& ps, int a, int b,
   return pc.parts(*ps.sparse(), a, b, B, cap);
 }
 
+/// Largest e in [good, bad) such that stripe [a, e) needs at most `cap`
+/// column intervals of load <= B, given that [a, good) qualifies and
+/// [a, bad) does not (or bad is past the last row).  Bisection on the
+/// antitone predicate.
+int bisect_stripe_end(const LoadSubstrate& ps, int a, int good, int bad,
+                      std::int64_t B, int cap, StripeProbeCache& pc) {
+  while (good + 1 < bad) {
+    const int mid = good + (bad - good) / 2;
+    if (stripe_parts(ps, a, mid, B, cap, pc).has_value())
+      good = mid;
+    else
+      bad = mid;
+  }
+  return good;
+}
+
 /// Largest e in [a+1, n1] such that stripe [a, e) needs at most `cap` column
 /// intervals of load <= B; requires the single row [a, a+1) to qualify.
-/// Galloping search on the antitone predicate.
+/// Gallops upward from a+1, then bisects.
 int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
                    StripeProbeCache& pc) {
   const int n1 = ps.rows();
@@ -343,14 +392,29 @@ int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
       break;
     }
   }
-  while (good + 1 < bad) {
-    const int mid = good + (bad - good) / 2;
-    if (stripe_parts(ps, a, mid, B, cap, pc).has_value())
-      good = mid;
-    else
-      bad = mid;
+  return bisect_stripe_end(ps, a, good, bad, B, cap, pc);
+}
+
+/// max_stripe_end inside a known bracket: the largest e in [lo, hi] such
+/// that stripe [a, e) needs at most `cap` column intervals of load <= B,
+/// given that [a, lo) qualifies and no end beyond hi does.  The upper bound
+/// is usually tight or nearly so, so it is probed first and the search
+/// gallops down from it, then bisects.
+int stripe_end_within(const LoadSubstrate& ps, int a, int lo, int hi,
+                      std::int64_t B, int cap, StripeProbeCache& pc) {
+  if (hi <= lo) return lo;
+  if (stripe_parts(ps, a, hi, B, cap, pc).has_value()) return hi;
+  int good = lo;
+  int bad = hi;
+  for (int step = 1; bad - step > good; step *= 2) {
+    const int probe = bad - step;
+    if (stripe_parts(ps, a, probe, B, cap, pc).has_value()) {
+      good = probe;
+      break;
+    }
+    bad = probe;
   }
-  return good;
+  return bisect_stripe_end(ps, a, good, bad, B, cap, pc);
 }
 
 // ---------------------------------------------------------------- P x Q-way
@@ -358,13 +422,14 @@ int max_stripe_end(const LoadSubstrate& ps, int a, std::int64_t B, int cap,
 /// Greedy feasibility for P x Q-way jagged with bottleneck B.  On success and
 /// when `out` is non-null, writes the stripe boundaries (padded to P stripes).
 bool pq_feasible(const LoadSubstrate& ps, int p, int q, std::int64_t B,
-                 oned::Cuts* out, const RunContext* ctx) {
+                 oned::Cuts* out, const GammaLadder& ladder,
+                 const RunContext* ctx) {
   const int n1 = ps.rows();
   // Reused across the bisection's many probes; safe because nothing in the
   // sweep re-enters the execution layer on this thread.
   thread_local std::vector<int> ends;
   ends.clear();
-  StripeProbeCache pc;  // per-sweep probe acceleration (CSR substrates)
+  StripeProbeCache pc(ladder);  // per-sweep probe state (CSR substrates)
   int a = 0;
   while (a < n1) {
     poll_deadline(ctx, "jag-pq-opt feasibility sweep");
@@ -395,6 +460,7 @@ Partition pq_opt_hor(const LoadSubstrate& ps, int m, int p,
   heur_opt.orientation = Orientation::kHorizontal;
   heur_opt.ctx = ctx;
   const std::int64_t ub = jag_pq_heur(ps, m, heur_opt).max_load(ps);
+  const GammaLadder ladder(ps, ctx);
 
   // Search probes write their stripe boundaries so the winner's cuts are
   // already in hand.  The PQ heuristic's bound is frequently already optimal
@@ -408,14 +474,14 @@ Partition pq_opt_hor(const LoadSubstrate& ps, int m, int p,
   oned::Cuts row_cuts;
   std::int64_t wb = -1;
   std::int64_t best = ub;
-  if (lb < ub && pq_feasible(ps, p, q, ub - 1, &row_cuts, ctx)) {
+  if (lb < ub && pq_feasible(ps, p, q, ub - 1, &row_cuts, ladder, ctx)) {
     wb = ub - 1;
     oned::Cuts inner;
     std::int64_t inner_b = -1;
     best = min_feasible_retain(
         lb, ub - 1,
         [&](std::int64_t b, oned::Cuts* w) {
-          return pq_feasible(ps, p, q, b, w, ctx);
+          return pq_feasible(ps, p, q, b, w, ladder, ctx);
         },
         &inner, &inner_b);
     if (inner_b == best) {
@@ -426,7 +492,7 @@ Partition pq_opt_hor(const LoadSubstrate& ps, int m, int p,
 
   if (wb == best) {
     RECTPART_COUNT(kWitnessReprobesAvoided, 1);
-  } else if (!pq_feasible(ps, p, q, best, &row_cuts, ctx)) {
+  } else if (!pq_feasible(ps, p, q, best, &row_cuts, ladder, ctx)) {
     throw std::logic_error("jag_pq_opt: optimum not feasible (bug)");
   }
 
@@ -451,11 +517,11 @@ struct MWayProbe {
   std::vector<int> next_drop;  // first index > s with f strictly smaller
   std::vector<int> choice_e;   // stripe end realizing f[s]
   std::vector<int> choice_c;   // processor count of that stripe
-  StripeProbeCache pc;         // per-probe acceleration (CSR substrates)
+  StripeProbeCache pc;         // per-probe state (CSR substrates)
 
-  explicit MWayProbe(const LoadSubstrate& p, int m_, std::int64_t b,
-                     const RunContext* c = nullptr)
-      : ps(p), m(m_), B(b), ctx(c) {}
+  MWayProbe(const LoadSubstrate& p, int m_, std::int64_t b,
+            const GammaLadder& ladder, const RunContext* c)
+      : ps(p), m(m_), B(b), ctx(c), pc(ladder) {}
 
   bool run() {
     const int n1 = ps.rows();
@@ -466,6 +532,10 @@ struct MWayProbe {
     choice_c.assign(n1 + 1, 0);
     f[n1] = 0;
     next_drop[n1] = n1 + 1;
+    // end_hi[c]: the stripe end E(s', c) found at the last state s' > s that
+    // searched c parts (n1 before any).  Dropping a row never adds a part,
+    // so E(s, c) <= E(s', c): it bounds the search at s from above.
+    std::vector<int> end_hi(static_cast<std::size_t>(m) + 1, n1);
 
     for (int s = n1 - 1; s >= 0; --s) {
       // Poll every 64 states: cheap relative to the per-state stripe probes,
@@ -476,8 +546,11 @@ struct MWayProbe {
       const auto c_min = stripe_parts(ps, s, s + 1, B, m, pc);
       if (c_min.has_value()) {
         int c = *c_min;
+        int lo = s + 1;  // [s, lo) fits in c parts: E(s, c) >= lo
         while (c < best && c <= m) {
-          const int e = max_stripe_end(ps, s, B, c, pc);
+          int& hi = end_hi[static_cast<std::size_t>(c)];
+          const int e = stripe_end_within(ps, s, lo, hi, B, c, pc);
+          hi = e;
           const int cand = (f[e] >= inf) ? inf
                                          : std::min(inf, c + f[e]);
           if (cand < best) {
@@ -489,12 +562,14 @@ struct MWayProbe {
           // Next useful candidate: the stripe must reach past the first
           // strict decrease of f beyond e (any shorter extension raises the
           // processor count without lowering the tail cost); that is
-          // precisely next_drop[e].
+          // precisely next_drop[e].  It also bounds the next search from
+          // below: E(s, c_next) >= ed.
           const int ed = next_drop[e];
           if (ed > n1) break;
           const auto c_next = stripe_parts(ps, s, ed, B, m, pc);
           if (!c_next.has_value()) break;  // needs more than m parts
           c = *c_next;
+          lo = ed;
         }
       }
       f[s] = best;
@@ -514,12 +589,13 @@ struct MWayProbe {
 /// when absent the DP is re-run.  The walk over choice_e/choice_c is a pure
 /// function of B either way, so both paths yield the same partition.
 Partition m_opt_extract(const LoadSubstrate& ps, int m, std::int64_t B,
-                        const MWayProbe* witness, const RunContext* ctx) {
+                        const MWayProbe* witness, const GammaLadder& ladder,
+                        const RunContext* ctx) {
   std::unique_ptr<MWayProbe> own;
   if (witness) {
     RECTPART_COUNT(kWitnessReprobesAvoided, 1);
   } else {
-    own = std::make_unique<MWayProbe>(ps, m, B, ctx);
+    own = std::make_unique<MWayProbe>(ps, m, B, ladder, ctx);
     if (!own->run())
       throw std::logic_error("jag_m_opt: optimum not feasible (bug)");
     witness = own.get();
@@ -549,6 +625,7 @@ struct MWaySolve {
 };
 
 MWaySolve m_opt_solve_hor(const LoadSubstrate& ps, int m,
+                          const GammaLadder& ladder,
                           const RunContext* ctx = nullptr) {
   const std::int64_t lb = lower_bound_lmax(ps, m);
   JaggedOptions heur_opt;
@@ -557,14 +634,14 @@ MWaySolve m_opt_solve_hor(const LoadSubstrate& ps, int m,
   const std::int64_t ub = jag_m_heur(ps, m, heur_opt).max_load(ps);
 
   // Each candidate bottleneck gets its own MWayProbe, so the concurrent
-  // rounds of min_feasible_retain share nothing but the immutable prefix
-  // array; the probe of the last success survives as the witness.
+  // rounds of min_feasible_retain share nothing but the immutable substrate
+  // and Γ ladder; the probe of the last success survives as the witness.
   MWaySolve r;
   std::int64_t wb = -1;
   r.bottleneck = min_feasible_retain(
       lb, ub,
       [&](std::int64_t b, std::unique_ptr<MWayProbe>* out) {
-        auto candidate = std::make_unique<MWayProbe>(ps, m, b, ctx);
+        auto candidate = std::make_unique<MWayProbe>(ps, m, b, ladder, ctx);
         if (!candidate->run()) return false;
         *out = std::move(candidate);
         return true;
@@ -589,22 +666,24 @@ Partition jag_m_opt(const LoadSubstrate& ps, int m, const JaggedOptions& opt) {
   return jag_detail::with_orientation(
       ps, opt.orientation, [m, &opt](const LoadSubstrate& view) {
         RECTPART_SPAN("jag-m-opt");
-        const MWaySolve solved = m_opt_solve_hor(view, m, opt.ctx);
+        const GammaLadder ladder(view, opt.ctx);
+        const MWaySolve solved = m_opt_solve_hor(view, m, ladder, opt.ctx);
         return m_opt_extract(view, m, solved.bottleneck,
-                             solved.witness.get(), opt.ctx);
+                             solved.witness.get(), ladder, opt.ctx);
       });
 }
 
 std::int64_t jag_m_opt_bottleneck(const LoadSubstrate& ps, int m,
                                   Orientation orient) {
-  if (orient == Orientation::kHorizontal)
-    return m_opt_solve_hor(ps, m).bottleneck;
+  const auto solve = [m](const LoadSubstrate& view) {
+    const GammaLadder ladder(view, nullptr);
+    return m_opt_solve_hor(view, m, ladder).bottleneck;
+  };
+  if (orient == Orientation::kHorizontal) return solve(ps);
   const LoadSubstrate t = ps.transposed();
-  if (orient == Orientation::kVertical)
-    return m_opt_solve_hor(t, m).bottleneck;
+  if (orient == Orientation::kVertical) return solve(t);
   std::int64_t hor = 0, ver = 0;
-  parallel_invoke([&]() { ver = m_opt_solve_hor(t, m).bottleneck; },
-                  [&]() { hor = m_opt_solve_hor(ps, m).bottleneck; });
+  parallel_invoke([&]() { ver = solve(t); }, [&]() { hor = solve(ps); });
   return std::min(hor, ver);
 }
 

@@ -97,6 +97,12 @@ constexpr CounterMeta kMeta[kCounterCount] = {
     // the query stream, gated in tiled builds, build-dependent as above.
     {"tile_prefix_hits", false, kTiledBuildDependent},
     {"tile_fringe_rows", false, kTiledBuildDependent},
+    // The jagged search's scatter cache (jagged/jag_opt.cpp): rows moved
+    // per reposition and one O(cols) rescan per probe, both fixed by the
+    // probe sequence.  The cache tier is chosen by instance shape alone, so
+    // the counts are the same in the plain-row-walk build.
+    {"scatter_rows", false, false},
+    {"scatter_cols_rescanned", false, false},
 };
 
 // One cache-line-isolated block per thread.  Only the owning thread writes

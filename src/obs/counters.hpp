@@ -64,6 +64,8 @@ enum class Counter : int {
   kFlightRecords,           ///< requests recorded into the flight recorder
   kTilePrefixHits,          ///< sparse queries answered via the tiled overlay
   kTileFringeRows,          ///< fringe rows walked by tiled sparse queries
+  kScatterRows,             ///< rows slid into/out of jagged scatter caches
+  kScatterColsRescanned,    ///< columns rescanned by jagged scatter caches
   kCount
 };
 
