@@ -11,21 +11,29 @@ namespace {
 
 using rectpart::testing::random_weights;
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// must have no padding: padding after a 32-bit n would carry stack garbage
+// (address bits that change from run to run) into the test names.
 struct SweepCase {
-  int n;
+  std::int64_t n;
   std::int64_t lo, hi;
   std::uint64_t seed;
 };
+static_assert(sizeof(SweepCase) == 4 * sizeof(std::int64_t));
+
+std::vector<std::int64_t> weights_of(const SweepCase& c) {
+  return random_weights(static_cast<int>(c.n), c.lo, c.hi, c.seed);
+}
 
 class OneDProperties : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(OneDProperties, OptimalBottleneckNonIncreasingInM) {
   const auto& c = GetParam();
-  const auto w = random_weights(c.n, c.lo, c.hi, c.seed);
+  const auto w = weights_of(c);
   const auto prefix = prefix_of(w);
   const PrefixOracle o(prefix);
   std::int64_t prev = std::numeric_limits<std::int64_t>::max();
-  for (int m = 1; m <= std::min(c.n + 2, 20); ++m) {
+  for (int m = 1; m <= std::min<std::int64_t>(c.n + 2, 20); ++m) {
     const std::int64_t b = nicol_plus(o, m).bottleneck;
     EXPECT_LE(b, prev) << "m=" << m;
     prev = b;
@@ -34,7 +42,7 @@ TEST_P(OneDProperties, OptimalBottleneckNonIncreasingInM) {
 
 TEST_P(OneDProperties, OptimumSandwichedByBounds) {
   const auto& c = GetParam();
-  const auto w = random_weights(c.n, c.lo, c.hi, c.seed);
+  const auto w = weights_of(c);
   const auto prefix = prefix_of(w);
   const PrefixOracle o(prefix);
   const std::int64_t total = o.total();
@@ -49,7 +57,7 @@ TEST_P(OneDProperties, OptimumSandwichedByBounds) {
 
 TEST_P(OneDProperties, ProbeMonotoneInBudget) {
   const auto& c = GetParam();
-  const auto w = random_weights(c.n, c.lo, c.hi, c.seed);
+  const auto w = weights_of(c);
   const auto prefix = prefix_of(w);
   const PrefixOracle o(prefix);
   const int m = 4;
@@ -68,7 +76,7 @@ TEST_P(OneDProperties, GreedyCutsFromProbeAreLoadSorted) {
   // The probe's greedy cuts are maximal prefixes: each interval except the
   // last must be unable to absorb the next element.
   const auto& c = GetParam();
-  const auto w = random_weights(c.n, c.lo, c.hi, c.seed);
+  const auto w = weights_of(c);
   const auto prefix = prefix_of(w);
   const PrefixOracle o(prefix);
   const int m = 5;
@@ -86,7 +94,7 @@ TEST_P(OneDProperties, GreedyCutsFromProbeAreLoadSorted) {
 
 TEST_P(OneDProperties, RefinementIsIdempotent) {
   const auto& c = GetParam();
-  const auto w = random_weights(c.n, c.lo, c.hi, c.seed);
+  const auto w = weights_of(c);
   const auto prefix = prefix_of(w);
   const PrefixOracle o(prefix);
   const Cuts once = direct_cut_refined(o, 6);
@@ -96,7 +104,7 @@ TEST_P(OneDProperties, RefinementIsIdempotent) {
 
 TEST_P(OneDProperties, HeuristicsDominatedByOptimal) {
   const auto& c = GetParam();
-  const auto w = random_weights(c.n, c.lo, c.hi, c.seed);
+  const auto w = weights_of(c);
   const auto prefix = prefix_of(w);
   const PrefixOracle o(prefix);
   for (const int m : {2, 3, 8}) {
